@@ -1,5 +1,4 @@
-module H = Dfm_incr.Hash64
-module Failpoint = Dfm_util.Failpoint
+module Journal = Dfm_util.Journal
 
 type event = {
   q : int;
@@ -31,7 +30,7 @@ type entry = Header of string | Event of event | Accept of accept
 
 exception Error of string
 
-type t = { mutable chan : out_channel option }
+type t = { mutable chan : Journal.t option }
 
 (* v2 added the run-attributed solver-effort counters to [accept].  The
    bump makes v1 journals fail the magic check, so [attach] restarts them
@@ -42,81 +41,24 @@ let m_frames =
   Dfm_obs.Metrics.counter ~help:"Checkpoint journal frames written"
     "dfm_checkpoint_frames_total"
 
-(* A frame whose length prefix exceeds this is treated as corruption rather
-   than attempted as an allocation: the largest honest payload is one
-   accepted netlist's text. *)
-let max_payload = 1 lsl 26
-
-let checksum ~len payload = H.mix (H.of_string payload) (H.of_int len)
-
 (* Entries are pure data (ints, floats, strings, options), so [Marshal] is a
-   faithful and exact encoding; the checksum, not Marshal, is what defends
-   against torn writes. *)
-let frame entry =
-  let payload = Marshal.to_string (entry : entry) [] in
-  let len = String.length payload in
-  let b = Bytes.create (4 + len + 8) in
-  Bytes.set_int32_le b 0 (Int32.of_int len);
-  Bytes.blit_string payload 0 b 4 len;
-  Bytes.set_int64_le b (4 + len) (checksum ~len payload);
-  b
+   faithful and exact encoding; the journal checksum, not Marshal, is what
+   defends against torn writes. *)
+let encode entry = Marshal.to_string (entry : entry) []
 
-(* Best-effort load: surviving prefix of entries in file order, plus whether
-   the file must be compacted before appending (anything dropped leaves a
-   mis-framed tail). *)
-let load_file path =
-  let ic = open_in_bin path in
-  Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-  let ok = ref [] and rewrite = ref false in
-  let head = Bytes.create (String.length magic) in
-  (try
-     really_input ic head 0 (String.length magic);
-     if Bytes.to_string head <> magic then begin
-       rewrite := true;
-       raise Exit
-     end;
-     let lenb = Bytes.create 4 in
-     let rec loop () =
-       (match input_char ic with
-       | exception End_of_file -> raise Exit (* clean end *)
-       | c0 -> Bytes.set lenb 0 c0);
-       for i = 1 to 3 do
-         Bytes.set lenb i (input_char ic)
-       done;
-       let len = Int32.to_int (Bytes.get_int32_le lenb 0) in
-       if len < 0 || len > max_payload then begin
-         rewrite := true;
-         raise Exit
-       end;
-       let tail = Bytes.create (len + 8) in
-       really_input ic tail 0 (len + 8);
-       let payload = Bytes.sub_string tail 0 len in
-       if Bytes.get_int64_le tail len <> checksum ~len payload then begin
-         (* A frame that fails its checksum means the rest of the file is
-            untrustworthy framing: drop it all. *)
-         rewrite := true;
-         raise Exit
-       end;
-       (match (Marshal.from_string payload 0 : entry) with
-       | e -> ok := e :: !ok
-       | exception _ ->
-           rewrite := true;
-           raise Exit);
-       loop ()
-     in
-     loop ()
-   with
-  | Exit -> ()
-  | End_of_file ->
-      (* truncated mid-frame: the classic kill-during-append tail *)
-      rewrite := true);
-  (List.rev !ok, !rewrite)
-
-let write_all path entries =
-  let oc = open_out_bin path in
-  Fun.protect ~finally:(fun () -> close_out_noerr oc) @@ fun () ->
-  output_string oc magic;
-  List.iter (fun e -> output_bytes oc (frame e)) entries
+(* Recovery policy: keep the prefix before the first record that fails its
+   checksum or does not unmarshal — everything after it may belong to a
+   different, torn history.  [clean] is false when anything was dropped. *)
+let decode_prefix records =
+  let rec go acc = function
+    | Some p :: tl -> (
+        match (Marshal.from_string p 0 : entry) with
+        | e -> go (e :: acc) tl
+        | exception _ -> (List.rev acc, false))
+    | None :: _ -> (List.rev acc, false)
+    | [] -> (List.rev acc, true)
+  in
+  go [] records
 
 (* Keep the prefix up to and including the last Accept: the dropped tail is
    exactly the work the resumed campaign re-derives deterministically. *)
@@ -129,53 +71,38 @@ let truncate_to_last_accept entries =
   let n = last 0 0 entries in
   List.filteri (fun i _ -> i < n) entries
 
-let open_append path =
-  open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path
+let reopen path entries =
+  Journal.replace ~magic path (List.map encode entries);
+  { chan = Some (Journal.open_append path) }
 
 let attach ?(resume = true) ~header path =
-  let fresh () =
-    write_all path [ Header header ];
-    ({ chan = Some (open_append path) }, [])
-  in
-  if (not resume) || not (Sys.file_exists path) then fresh ()
-  else begin
-    let entries, rewrite = load_file path in
-    match entries with
-    | Header h :: rest ->
-        if h <> header then
-          raise
-            (Error
-               (Printf.sprintf
-                  "checkpoint %s was written by a different run configuration" path));
-        let kept = truncate_to_last_accept rest in
-        if rewrite || List.length kept <> List.length rest then
-          write_all path (Header header :: kept);
-        ({ chan = Some (open_append path) }, kept)
-    | _ ->
-        (* empty or headerless journal: nothing usable, start fresh *)
-        fresh ()
-  end
+  let fresh () = (reopen path [ Header header ], []) in
+  if not resume then fresh ()
+  else
+    match Journal.load ~magic path with
+    | Journal.Records { records; torn } -> (
+        match decode_prefix records with
+        | Header h :: rest, clean ->
+            if h <> header then
+              raise
+                (Error
+                   (Printf.sprintf
+                      "checkpoint %s was written by a different run configuration" path));
+            let kept = truncate_to_last_accept rest in
+            if torn || (not clean) || List.length kept <> List.length rest then
+              (reopen path (Header header :: kept), kept)
+            else ({ chan = Some (Journal.open_append path) }, kept)
+        | _ ->
+            (* empty or headerless journal: nothing usable, start fresh *)
+            fresh ())
+    | Journal.Missing | Journal.Foreign -> fresh ()
 
 let append t entry =
   match t.chan with
   | None -> raise (Error "checkpoint: journal is closed")
-  | Some oc ->
-      let b = frame entry in
-      (match Failpoint.check "checkpoint.append" with
-      | Some Failpoint.Raise -> raise (Failpoint.Injected "checkpoint.append")
-      | Some Failpoint.Io_error -> raise (Sys_error "failpoint: checkpoint.append")
-      | Some Failpoint.Partial_write ->
-          (* A torn write: half a frame reaches the disk, then the
-             "process" dies.  The next attach must recover by dropping the
-             mis-framed tail. *)
-          output_bytes oc (Bytes.sub b 0 (Bytes.length b / 2));
-          Stdlib.flush oc;
-          raise (Sys_error "failpoint: checkpoint.append (partial write)")
-      | Some (Failpoint.Delay s) ->
-          Unix.sleepf s;
-          output_bytes oc b
-      | None -> output_bytes oc b);
-      Stdlib.flush oc;
+  | Some j ->
+      Journal.append ~sites:[ "checkpoint.append" ] j (encode entry);
+      Journal.flush j;
       Dfm_obs.Metrics.incr m_frames
 
 let append_event t ev = append t (Event ev)
@@ -184,6 +111,6 @@ let append_accept t a = append t (Accept a)
 let close t =
   match t.chan with
   | None -> ()
-  | Some oc ->
-      close_out_noerr oc;
+  | Some j ->
+      Journal.close j;
       t.chan <- None

@@ -16,11 +16,12 @@
     precisely the work that followed the last accept (whose journal tail is
     truncated at attach time so nothing is duplicated).
 
-    On-disk format, in the style of {!Dfm_incr.Store}: an 8-byte magic, then
-    framed records [u32le length | payload | u64le checksum].  Loading is
-    best-effort — a record with a bad checksum, a bad length or a truncated
-    tail (e.g. a crash mid-append) drops the rest of the file, and the
-    journal is compacted before new appends so it is always well-framed.
+    On disk it is a {!Dfm_util.Journal} under magic [DFMCK02] holding one
+    marshalled {!entry} per record, flushed per append.  Recovery policy:
+    loading keeps the prefix before the first record with a bad checksum,
+    a bad length or a truncated tail (e.g. a crash mid-append), truncates
+    it to the last {!Accept}, and atomically rewrites the journal when
+    anything was dropped, so appends always land on a well-framed file.
 
     Appends pass the [checkpoint.append] {!Dfm_util.Failpoint} site, which
     is how the crash-matrix test kills a campaign at every record

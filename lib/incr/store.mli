@@ -6,13 +6,15 @@
     outcome, which the correctness invariant forbids.
 
     Two tiers.  The in-memory tier is a bounded hash table with FIFO
-    eviction.  The optional on-disk tier is a single append-only file:
-    every {!add} appends one length-prefixed, checksummed record, and
-    {!create} loads the file best-effort — a record with a bad checksum is
-    dropped and loading continues; a bad length prefix or a truncated tail
-    drops the rest of the file; neither ever raises.  When anything was
-    dropped the file is compacted from the surviving records before new
-    appends, so the log is always well-framed afterwards.
+    eviction.  The optional on-disk tier is a {!Dfm_util.Journal} (magic
+    [DFMVC02]): every {!add} appends one buffered record, and {!create}
+    loads the file best-effort — a record with a bad checksum is dropped
+    and loading continues; a bad length prefix or a truncated tail drops
+    the rest of the file; a file with another magic (including the older
+    [DFMVC01] format) is dropped whole and rebuilt; none of these ever
+    raises.  When anything was dropped the file is atomically rewritten
+    from the surviving records before new appends, so the log is always
+    well-framed afterwards.
 
     Entries published by a certified campaign ([add ~certified:true]) carry
     a certificate mark on disk — a keyed digest over the signature and the

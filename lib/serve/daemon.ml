@@ -4,6 +4,7 @@ module Resynth = Dfm_core.Resynth
 module Report = Dfm_core.Report
 module Metrics = Dfm_obs.Metrics
 module Log = Dfm_obs.Log
+module Journal = Dfm_util.Journal
 
 type config = { socket_path : string; state_dir : string; jobs : int; certify : bool }
 
@@ -92,7 +93,7 @@ type t = {
   accounts : (string, account) Hashtbl.t;
   mutable account_order : string list;  (* reversed *)
   cache : Dfm_incr.Cache.t;
-  ledger : out_channel;
+  ledger : Journal.t;
   mutable next_id : int;
   mutable running : job option;
   mutable accept_backoff : float;     (* current EMFILE backoff, 0 = healthy *)
@@ -177,13 +178,13 @@ let post_watchers ?droppable d job resp =
 
 (* ---- ledger ------------------------------------------------------------ *)
 
-(* Each record is one frame whose payload wraps a protocol message, so
-   replay reuses the protocol decoders and a torn tail from a kill lands on
-   the frame layer's checksum, exactly like a torn socket write. *)
+(* Each record is one journal record whose payload wraps a protocol
+   message, so replay reuses the protocol decoders and a torn tail from a
+   kill lands on the journal checksum. *)
 let ledger_append d (v : Wire.t) =
   try
-    output_string d.ledger (Frame.encode (Wire.to_string v));
-    flush d.ledger
+    Journal.append d.ledger (Wire.to_string v);
+    Journal.flush d.ledger
   with Sys_error e -> Log.error (Printf.sprintf "serve: ledger append failed: %s" e)
 
 let ledger_submit d (j : job) =
@@ -816,83 +817,98 @@ type replayed = {
   rp_next_id : int;
 }
 
+let ledger_magic = "DFMLG01\n"
+
+(* Recovery policy: keep the prefix before the first record that fails its
+   checksum and rewrite the ledger whenever anything was dropped, so later
+   appends never land behind a torn tail (where the next replay would drop
+   them and hand their job ids out again).  A ledger written under another
+   magic holds job history this build cannot read: refuse to start rather
+   than discard it. *)
 let replay_ledger path ckpt_dir_of =
-  if not (Sys.file_exists path) then { rp_jobs = []; rp_next_id = 1 }
-  else begin
-    let ic = open_in_bin path in
-    let len = in_channel_length ic in
-    let data = really_input_string ic len in
-    close_in ic;
-    let dec = Frame.Decoder.create () in
-    Frame.Decoder.feed dec (Bytes.of_string data) len;
-    let jobs = ref [] in
-    let next = ref 1 in
-    let torn = ref None in
-    let rec go () =
-      match Frame.Decoder.next dec with
-      | Ok None -> if Frame.Decoder.buffered dec > 0 then torn := Some "truncated tail"
-      | Error e -> torn := Some e
-      | Ok (Some payload) ->
-          (match Wire.parse payload with
-          | Error _ -> ()
-          | Ok v -> (
-              match Wire.str_field "rec" v with
-              | Some "submit" -> (
-                  match
-                    ( Wire.str_field "job" v,
-                      Option.bind (Wire.str_field "sub" v) (fun s ->
-                          Result.to_option (P.request_of_json s)) )
-                  with
-                  | Some id, Some (P.Submit sub) ->
-                      (match int_of_string_opt (String.sub id 1 (String.length id - 1)) with
-                      | Some n when n >= !next -> next := n + 1
-                      | _ -> ());
-                      let ckpt =
-                        Filename.concat (ckpt_dir_of id) "campaign.ckpt"
-                      in
-                      let j =
-                        {
-                          id;
-                          sub;
-                          resume = Sys.file_exists ckpt;
-                          submitted = now ();
-                          state = P.Pending;
-                          detail = "";
-                          result = None;
-                          cancel = false;
-                          started = 0.;
-                          watchers = [];
-                        }
-                      in
-                      jobs := (id, j) :: !jobs
-                  | _ -> ())
-              | Some "done" -> (
-                  match
-                    ( Wire.str_field "job" v,
-                      Option.bind (Wire.str_field "res" v) (fun s ->
-                          Result.to_option (P.response_of_json s)) )
-                  with
-                  | Some id, Some (P.Result p) -> (
-                      match List.assoc_opt id !jobs with
-                      | Some j ->
-                          j.result <- Some p;
-                          j.state <-
-                            (match p.P.r_outcome with
-                            | "done" -> P.Done
-                            | "cancelled" -> P.Cancelled
-                            | _ -> P.Failed);
-                          j.detail <- (if p.P.r_outcome = "done" then "" else p.P.r_outcome)
-                      | None -> ())
-                  | _ -> ())
-              | _ -> ()));
-          go ()
-    in
-    go ();
-    (match !torn with
-    | Some e -> Log.warn (Printf.sprintf "serve: ledger tail dropped (%s)" e)
-    | None -> ());
-    { rp_jobs = List.rev !jobs; rp_next_id = !next }
-  end
+  let payloads =
+    match Journal.load ~magic:ledger_magic path with
+    | Journal.Missing ->
+        Journal.replace ~magic:ledger_magic path [];
+        []
+    | Journal.Foreign ->
+        raise
+          (Startup_error
+             (Printf.sprintf
+                "ledger %s has an unknown format (written by an older daemon?); drain it \
+                 with that build or move it away"
+                path))
+    | Journal.Records { records; torn } ->
+        let rec prefix acc = function
+          | Some p :: tl -> prefix (p :: acc) tl
+          | None :: _ | [] -> List.rev acc
+        in
+        let kept = prefix [] records in
+        if torn || List.length kept <> List.length records then begin
+          Log.warn
+            (Printf.sprintf "serve: ledger %s: dropped %d damaged record(s)%s" path
+               (List.length records - List.length kept)
+               (if torn then " and a torn tail" else ""));
+          Journal.replace ~magic:ledger_magic path kept
+        end;
+        kept
+  in
+  let jobs = ref [] in
+  let next = ref 1 in
+  List.iter
+    (fun payload ->
+      match Wire.parse payload with
+      | Error _ -> ()
+      | Ok v -> (
+          match Wire.str_field "rec" v with
+          | Some "submit" -> (
+              match
+                ( Wire.str_field "job" v,
+                  Option.bind (Wire.str_field "sub" v) (fun s ->
+                      Result.to_option (P.request_of_json s)) )
+              with
+              | Some id, Some (P.Submit sub) ->
+                  (match int_of_string_opt (String.sub id 1 (String.length id - 1)) with
+                  | Some n when n >= !next -> next := n + 1
+                  | _ -> ());
+                  let ckpt = Filename.concat (ckpt_dir_of id) "campaign.ckpt" in
+                  let j =
+                    {
+                      id;
+                      sub;
+                      resume = Sys.file_exists ckpt;
+                      submitted = now ();
+                      state = P.Pending;
+                      detail = "";
+                      result = None;
+                      cancel = false;
+                      started = 0.;
+                      watchers = [];
+                    }
+                  in
+                  jobs := (id, j) :: !jobs
+              | _ -> ())
+          | Some "done" -> (
+              match
+                ( Wire.str_field "job" v,
+                  Option.bind (Wire.str_field "res" v) (fun s ->
+                      Result.to_option (P.response_of_json s)) )
+              with
+              | Some id, Some (P.Result p) -> (
+                  match List.assoc_opt id !jobs with
+                  | Some j ->
+                      j.result <- Some p;
+                      j.state <-
+                        (match p.P.r_outcome with
+                        | "done" -> P.Done
+                        | "cancelled" -> P.Cancelled
+                        | _ -> P.Failed);
+                      j.detail <- (if p.P.r_outcome = "done" then "" else p.P.r_outcome)
+                  | None -> ())
+              | _ -> ())
+          | _ -> ()))
+    payloads;
+  { rp_jobs = List.rev !jobs; rp_next_id = !next }
 
 (* Route engine observability to the watchers of whichever job is running.
    The router drops nothing the engines rely on — logging is output-only —
@@ -931,15 +947,20 @@ let run ?(on_ready = fun () -> ()) cfg =
   ensure_dir (Filename.concat cfg.state_dir "cache");
   let listen_fd = claim_socket cfg.socket_path in
   let ledger_file = ledger_path cfg.state_dir in
-  let replayed =
-    replay_ledger ledger_file (fun id ->
-        Filename.concat (Filename.concat cfg.state_dir "jobs") id)
-  in
-  let ledger =
-    try open_out_gen [ Open_wronly; Open_append; Open_creat; Open_binary ] 0o644 ledger_file
-    with Sys_error e ->
+  let replayed, ledger =
+    try
+      let replayed =
+        replay_ledger ledger_file (fun id ->
+            Filename.concat (Filename.concat cfg.state_dir "jobs") id)
+      in
+      (replayed, Journal.open_append ledger_file)
+    with e ->
       (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-      raise (Startup_error (Printf.sprintf "cannot open ledger: %s" e))
+      (try Unix.unlink cfg.socket_path with Unix.Unix_error _ -> ());
+      raise
+        (match e with
+        | Sys_error msg -> Startup_error (Printf.sprintf "cannot open ledger: %s" msg)
+        | e -> e)
   in
   let cache =
     Dfm_incr.Cache.create
@@ -1010,7 +1031,7 @@ let run ?(on_ready = fun () -> ()) cfg =
   (try Unix.unlink cfg.socket_path with Unix.Unix_error _ -> ());
   (try Unix.close wake_r with Unix.Unix_error _ -> ());
   (try Unix.close wake_w with Unix.Unix_error _ -> ());
-  close_out_noerr d.ledger;
+  Journal.close d.ledger;
   Dfm_incr.Cache.close d.cache;
   Dfm_util.Parallel.set_pool_floor 0;
   (match old_usr2 with

@@ -26,9 +26,15 @@
     assertion in the serve smoke test.
 
     Durability: every accepted submit and every completion is appended to
-    [<state>/ledger.bin] as a {!Frame}-framed JSON record, and each
-    resynth job journals accepted design points to
-    [<state>/jobs/<id>/campaign.ckpt].  A daemon killed mid-campaign and
+    [<state>/ledger.bin], a {!Dfm_util.Journal} (magic [DFMLG01]) of JSON
+    records flushed per append, and each resynth job journals accepted
+    design points to [<state>/jobs/<id>/campaign.ckpt].  At startup the
+    ledger keeps the prefix before its first bad record and is atomically
+    rewritten whenever anything was dropped, so later appends never land
+    behind a torn tail and job ids are never reused.  A non-empty ledger
+    with another magic (written before the ledger was a journal) is a
+    {!Startup_error} naming the file: drain it with the build that wrote
+    it, or move it away.  A daemon killed mid-campaign and
     restarted on the same state dir re-enqueues the incomplete jobs and
     resumes each resynth from its journal — same accepted ECO chain, same
     final result, as the kill/restart test proves.
@@ -53,7 +59,8 @@ type config = {
 
 exception Startup_error of string
 (** Raised by {!run} before serving begins: another daemon owns the
-    socket, the state dir cannot be created, the ledger is unopenable.
+    socket, the state dir cannot be created, the ledger is unopenable or
+    in a foreign format.
     The CLI maps it to exit 2. *)
 
 val run : ?on_ready:(unit -> unit) -> config -> int

@@ -1,13 +1,19 @@
 (** Length-framed, checksummed protocol frames.
 
-    Every protocol message travels as one frame:
+    Every protocol message travels as one frame: a 4-byte magic followed by
+    one {!Dfm_util.Journal} record — the same codec the on-disk journals
+    use:
 
     {v
-      4 bytes   magic "DFS1"
+      4 bytes   magic "DFS2"
       4 bytes   payload length, u32le (0 < len <= max_payload)
       len bytes payload (a JSON document, but the frame layer is opaque)
-      8 bytes   checksum, u64le — Hash64.of_string of the payload
+      8 bytes   checksum, u64le — Hash64.mix (of_string payload) (of_int len)
     v}
+
+    ["DFS1"] frames carried a plain [Hash64.of_string] checksum; the magic
+    changed with the checksum.  Client and daemon always come from one
+    build, so there is no cross-version traffic.
 
     The decoder is incremental: bytes arrive in arbitrary chunks (the
     daemon reads whatever [select] offers) and complete frames are pulled
@@ -21,6 +27,9 @@
     torn prefix of the frame and then fails — the crash-matrix-style serve
     tests use both to prove that a connection dying mid-frame never
     corrupts daemon state and is always detected by the peer's decoder. *)
+
+val magic : string
+(** The 4-byte per-frame magic. *)
 
 val max_payload : int
 (** Upper bound on one payload (64 MiB — netlists travel inline). *)

@@ -1,10 +1,10 @@
 (** 64-bit structural hashing primitives for content-addressed signatures.
 
     Everything in [dfm_incr] is keyed by 64-bit hashes built from these
-    mixers.  The scheme is a splitmix64-style avalanche ({!finalize}) over an
-    order-dependent accumulator ({!mix}), plus an order-*independent*
-    combiner ({!combine_unordered}) for multisets such as the sink lists of a
-    net.  All functions are pure and allocation-free on the hot path.
+    mixers, and {!Journal} checksums its records with them.  The scheme is
+    a splitmix64-style avalanche ({!finalize}) over an order-dependent
+    accumulator ({!mix}), plus an order-*independent* combiner
+    ({!combine_unordered}) for multisets such as the sink lists of a net.  All functions are pure and allocation-free on the hot path.
 
     These are content hashes, not cryptographic ones: collisions are
     possible in principle (probability ~n²/2⁶⁵ for n distinct keys) and the

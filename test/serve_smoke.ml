@@ -17,6 +17,11 @@
       EMFILE accept failures (serve.accept_emfile failpoint) and
       --certify never exits — it backs off, recovers, and the certified
       job's report is still byte-identical to the uncertified one-shot.
+   6. Ledger recovery: a torn tail on the job ledger is cut off at the
+      next start, so jobs recorded after it survive a further restart and
+      job ids are never handed out twice; a ledger in a foreign format
+      makes the daemon refuse to start (exit 2, one line) instead of
+      discarding job history.
 
    Usage: serve_smoke CLI_EXE NETLIST_FILE *)
 
@@ -373,6 +378,101 @@ let () =
           | Error e -> fail "await after restart: %s" e);
           Client.close c);
       stop_daemon ~sock:sock3 ~pid:pid4);
+
+  (* ---- 6. ledger recovery ------------------------------------------ *)
+  let sock5 = sock_path "ledger" and state5 = "smoke_state5" in
+  let run_one label =
+    let pid = start_daemon exe ~sock:sock5 ~state:state5 ~log:"smoke_daemon5.log" in
+    (match
+       submit_analyze ~client:"foxtrot" ~name:netlist_file ~netlist:netlist_text sock5
+     with
+    | Ok r when r.Protocol.r_outcome = "done" -> ()
+    | Ok r -> fail "%s: outcome %s" label r.Protocol.r_outcome
+    | Error e -> fail "%s: %s" label e);
+    stop_daemon ~sock:sock5 ~pid
+  in
+  run_one "ledger job J1";
+  (* a kill mid-append leaves half a record behind the last good one *)
+  let torn = Dfm_util.Journal.encode {|{"rec":"submit","job":"J9","sub":"torn"}|} in
+  let oc =
+    open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 (state5 ^ "/ledger.bin")
+  in
+  output_string oc (String.sub torn 0 (String.length torn / 2));
+  close_out oc;
+  run_one "ledger job J2";
+  let pid = start_daemon exe ~sock:sock5 ~state:state5 ~log:"smoke_daemon5.log" in
+  (match Client.connect sock5 with
+  | Error e -> fail "ledger status connect: %s" e
+  | Ok c ->
+      (match Client.request c (Protocol.Status None) with
+      | Ok (Protocol.Status_report { jobs; _ }) ->
+          let done_ids =
+            List.filter_map
+              (fun jv ->
+                if jv.Protocol.jv_state = Protocol.Done then Some jv.Protocol.jv_id else None)
+              jobs
+          in
+          if done_ids = [ "J1"; "J2" ] then
+            pass "jobs recorded after a torn ledger tail survive restart"
+          else
+            fail "after torn-tail restart, done jobs are [%s], want [J1; J2]"
+              (String.concat "; " done_ids)
+      | Ok _ -> fail "unexpected status response"
+      | Error e -> fail "ledger status: %s" e);
+      (match
+         Client.request c
+           (Protocol.Submit
+              Protocol.
+                {
+                  client = "foxtrot";
+                  kind = Analyze;
+                  name = netlist_file;
+                  netlist = netlist_text;
+                  limits = Protocol.no_limits;
+                  static_filter = false;
+                  sat_mode = None;
+                  q_max = None;
+                  p1 = None;
+                })
+       with
+      | Ok (Protocol.Accepted { job = "J3"; _ }) -> pass "next submit gets the fresh id J3"
+      | Ok (Protocol.Accepted { job; _ }) ->
+          fail "next submit reused or skipped an id: %s" job
+      | Ok _ -> fail "unexpected submit response"
+      | Error e -> fail "ledger submit: %s" e);
+      Client.close c);
+  stop_daemon ~sock:sock5 ~pid;
+  (* a ledger this build cannot read is refused, not silently replaced *)
+  let state6 = "smoke_state6" in
+  if not (Sys.file_exists state6) then Sys.mkdir state6 0o755;
+  let oc = open_out_bin (state6 ^ "/ledger.bin") in
+  output_string oc "DFS1\x05\x00\x00\x00hello\x00\x00\x00\x00\x00\x00\x00\x00";
+  close_out oc;
+  let log6 = "smoke_daemon6.log" in
+  if Sys.file_exists log6 then Sys.remove log6;
+  let pid6 =
+    spawn exe [ "serve"; "--socket"; sock_path "foreign"; "--state-dir"; state6 ] ~log:log6
+  in
+  let rec wait_bounded n =
+    match Unix.waitpid [ Unix.WNOHANG ] pid6 with
+    | 0, _ when n > 0 ->
+        Unix.sleepf 0.05;
+        wait_bounded (n - 1)
+    | 0, _ ->
+        Unix.kill pid6 Sys.sigkill;
+        ignore (Unix.waitpid [] pid6);
+        None
+    | _, Unix.WEXITED n -> Some n
+    | _, _ -> Some (-1)
+  in
+  let status = wait_bounded 200 in
+  let lines = List.filter (( <> ) "") (String.split_on_char '\n' (read_file log6)) in
+  (match (status, lines) with
+  | Some 2, [ _ ] -> pass "foreign-format ledger refused with exit 2 and one line"
+  | Some 2, _ ->
+      fail "foreign ledger refusal printed %d lines, want 1" (List.length lines)
+  | Some n, _ -> fail "daemon on a foreign ledger exited %d, want 2" n
+  | None, _ -> fail "daemon started on a foreign-format ledger");
 
   if !failures > 0 then begin
     Printf.printf "serve_smoke: %d failure(s)\n%!" !failures;

@@ -170,6 +170,28 @@ let test_append_failpoint_is_loud () =
   Checkpoint.close t2;
   Sys.remove path
 
+(* The on-disk bytes of a fixed Header/Event/Accept sequence, pinned by
+   digest.  The constant was recorded before the journal framing moved to
+   [Dfm_util.Journal]: a match proves that journals written by earlier
+   builds still resume. *)
+let test_pinned_bytes () =
+  let path = fresh_path () in
+  let t, _ = Checkpoint.attach ~header:"pinned header" path in
+  Checkpoint.append_event t (ev 1);
+  Checkpoint.append_accept t (acc 2);
+  Checkpoint.append_event t (ev 3);
+  Checkpoint.close t;
+  let ic = open_in_bin path in
+  let data = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Alcotest.(check string) "journal bytes unchanged" "0a316d612ca319c5"
+    (Dfm_util.Hash64.to_hex (Dfm_util.Hash64.of_string data));
+  let t2, replay = Checkpoint.attach ~header:"pinned header" path in
+  Alcotest.(check bool) "pinned journal resumes" true
+    (replay = [ Checkpoint.Event (ev 1); Checkpoint.Accept (acc 2) ]);
+  Checkpoint.close t2;
+  Sys.remove path
+
 (* ------------------------------------------------------------------ *)
 (* Kill/resume on a real campaign                                       *)
 (* ------------------------------------------------------------------ *)
@@ -282,6 +304,7 @@ let suite =
     Alcotest.test_case "header mismatch refused" `Quick test_header_mismatch_refused;
     Alcotest.test_case "corruption recovery" `Quick test_corruption_recovery;
     Alcotest.test_case "append failures are loud" `Quick test_append_failpoint_is_loud;
+    Alcotest.test_case "journal bytes pinned" `Quick test_pinned_bytes;
     Alcotest.test_case "kill/resume is bit-identical" `Slow test_kill_resume_representative;
     Alcotest.test_case "resume of a completed campaign" `Slow test_resume_completed_campaign;
     Alcotest.test_case "foreign journal refused" `Slow test_resume_refuses_other_config;

@@ -207,7 +207,7 @@ let test_frame_bad_length () =
   (* length fields of 0 and > max_payload both fail closed *)
   let mk len =
     let b = Buffer.create 16 in
-    Buffer.add_string b "DFS1";
+    Buffer.add_string b Frame.magic;
     for i = 0 to 3 do
       Buffer.add_char b (Char.chr ((len lsr (8 * i)) land 0xff))
     done;
