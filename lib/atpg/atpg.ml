@@ -42,17 +42,9 @@ let m_sat_ns =
 
 type status = Detected | Undetectable | Aborted
 
+(* Production always runs [Incremental]; [Oneshot] is the reference engine
+   that the tests and the bench compare it against. *)
 type sat_mode = Oneshot | Incremental
-
-(* Incremental is the default engine; REPRO_SAT_MODE=oneshot restores the
-   throwaway-solver-per-query behaviour fleet-wide (e.g. to bisect a
-   suspected solver-state bug without touching call sites). *)
-let default_sat_mode () =
-  match Sys.getenv_opt "REPRO_SAT_MODE" with
-  | Some "oneshot" -> Oneshot
-  | Some "incremental" | None -> Incremental
-  | Some other ->
-      invalid_arg (Printf.sprintf "REPRO_SAT_MODE: unknown mode %S" other)
 
 type counts = {
   total : int;
@@ -270,11 +262,10 @@ let finish_counts s =
 let shard_bounds ~jobs nf = Parallel.chunk_bounds ~chunk:((nf + jobs - 1) / jobs) nf
 
 let classify ?(seed = 1) ?max_conflicts ?(random_blocks = 16) ?jobs ?cache ?static_filter
-    ?sat_mode ?(certify = false) nl faults =
+    ?(sat_mode = Incremental) ?(certify = false) nl faults =
   Span.with_ "atpg.classify"
     ~attrs:[ ("faults", string_of_int (Array.length faults)) ]
   @@ fun () ->
-  let sat_mode = match sat_mode with Some m -> m | None -> default_sat_mode () in
   let nf = Array.length faults in
   Metrics.incr ~by:nf m_classified;
   let jobs =
@@ -476,14 +467,13 @@ let no_escalation =
    (verdicts themselves are budget- and history-independent).  Runs
    entirely in the coordinating domain: abort sets are small and the cache
    (if any) must only ever be touched from here. *)
-let escalate ?(policy = default_escalation) ?cache ?sat_mode ?(certify = false) ~max_conflicts
-    nl faults (cls : classification) =
+let escalate ?(policy = default_escalation) ?cache ?(sat_mode = Incremental) ?(certify = false)
+    ~max_conflicts nl faults (cls : classification) =
   if cls.counts.aborted = 0 then (cls, no_escalation)
   else begin
     Span.with_ "atpg.escalate"
       ~attrs:[ ("aborted", string_of_int cls.counts.aborted) ]
     @@ fun () ->
-    let sat_mode = match sat_mode with Some m -> m | None -> default_sat_mode () in
     let factor = max 2 policy.factor in
     let nf = Array.length faults in
     let pending = ref [] in
@@ -584,9 +574,8 @@ let escalate ?(policy = default_escalation) ?cache ?sat_mode ?(certify = false) 
 
 let bit b w = Int64.logand (Int64.shift_right_logical w b) 1L = 1L
 
-let generate ?(seed = 1) ?max_conflicts ?sat_mode ?(certify = false) nl faults =
+let generate ?(seed = 1) ?max_conflicts ?(sat_mode = Incremental) ?(certify = false) nl faults =
   let s = make_state nl faults in
-  let sat_mode = match sat_mode with Some m -> m | None -> default_sat_mode () in
   (* Generation is sequential (coordinator only), so a single session can
      serve every fault's query.  In certified mode the session checks UNSAT
      proofs and SAT models; detected faults are additionally witness-checked

@@ -22,13 +22,15 @@ type status = Detected | Undetectable | Aborted
 
 (** How SAT queries are issued.
 
-    - [Oneshot]: every query builds a throwaway solver — the
-      pre-incremental behaviour; queries are fully independent.
-    - [Incremental] (the default): all unresolved faults of a shard share
-      one persistent solver session ({!Dfm_sat.Incremental}): the
-      good-circuit CNF is encoded once, each fault contributes only
-      activation-guarded faulty-cone clauses, and learnt clauses carry from
-      query to query.
+    - [Incremental] (the default, and the only engine production runs):
+      all unresolved faults of a shard share one persistent solver session
+      ({!Dfm_sat.Incremental}): the good-circuit CNF is encoded once, each
+      fault contributes only activation-guarded faulty-cone clauses, and
+      learnt clauses carry from query to query.
+    - [Oneshot]: every query builds a throwaway solver, so queries are
+      fully independent.  This is the reference engine: the test suite
+      and the bench's [sat] section pass it to check and measure
+      [Incremental] against; no production caller selects it.
 
     Semantic verdicts (Detected / Undetectable) are identical in both
     modes, for any [jobs] value.  Under a {e bounded} [max_conflicts]
@@ -38,10 +40,6 @@ type status = Detected | Undetectable | Aborted
     query in its shard.  At the default unbounded budget no Aborted
     verdicts exist and the two modes are bit-identical. *)
 type sat_mode = Oneshot | Incremental
-
-val default_sat_mode : unit -> sat_mode
-(** [Incremental], unless the [REPRO_SAT_MODE] environment variable says
-    [oneshot].  @raise Invalid_argument on an unknown value. *)
 
 type counts = {
   total : int;
@@ -88,6 +86,8 @@ val classify :
   Dfm_faults.Fault.t array ->
   classification
 (** [random_blocks] 64-pattern blocks precede the SAT phase (default 16).
+    [sat_mode] (default [Incremental]) selects the query engine; see
+    {!sat_mode} for the [Oneshot] reference.
 
     [certify] (default [false]) makes every emitted verdict carry an
     independently checked certificate: Detected verdicts keep their

@@ -35,7 +35,7 @@ type metrics = {
 let undetectable t fid = t.classification.Atpg.status.(fid) = Atpg.Undetectable
 
 let implement ?(seed = 3) ?floorplan ?utilization ?previous ?jobs ?cache ?max_conflicts
-    ?escalation ?(static_filter = false) ?sat_mode ?certify netlist =
+    ?escalation ?(static_filter = false) ?certify netlist =
   Dfm_obs.Span.with_ "implement"
     ~attrs:[ ("gates", string_of_int (N.num_gates netlist)) ]
   @@ fun () ->
@@ -57,8 +57,8 @@ let implement ?(seed = 3) ?floorplan ?utilization ?previous ?jobs ?cache ?max_co
     else None
   in
   let classification =
-    Atpg.classify ~seed ?jobs ?cache ?max_conflicts ?static_filter:static ?sat_mode ?certify
-      netlist fault_list.Dfm_guidelines.Translate.faults
+    Atpg.classify ~seed ?jobs ?cache ?max_conflicts ?static_filter:static ?certify netlist
+      fault_list.Dfm_guidelines.Translate.faults
   in
   (* With a bounded budget, aborts are escalated before clustering so the
      cluster view is built from the most-resolved classification we have. *)
@@ -66,7 +66,7 @@ let implement ?(seed = 3) ?floorplan ?utilization ?previous ?jobs ?cache ?max_co
     match (max_conflicts, escalation) with
     | Some mc, Some policy when classification.Atpg.counts.Atpg.aborted > 0 ->
         let cls, stats =
-          Atpg.escalate ~policy ?cache ?sat_mode ?certify ~max_conflicts:mc netlist
+          Atpg.escalate ~policy ?cache ?certify ~max_conflicts:mc netlist
             fault_list.Dfm_guidelines.Translate.faults classification
         in
         (cls, Some stats)

@@ -48,7 +48,6 @@ val implement :
   ?max_conflicts:int ->
   ?escalation:Dfm_atpg.Atpg.escalation_policy ->
   ?static_filter:bool ->
-  ?sat_mode:Dfm_atpg.Atpg.sat_mode ->
   ?certify:bool ->
   Dfm_netlist.Netlist.t ->
   t
@@ -69,8 +68,7 @@ val implement :
     netlist and hands its sound undetectability proof to the
     classification, skipping random simulation and SAT for statically
     proven faults — again without changing any verdict.
-    [sat_mode] selects the SAT query engine (default
-    {!Dfm_atpg.Atpg.default_sat_mode}: incremental sessions with learnt
+    SAT queries always run on the incremental engine (sessions with learnt
     clauses shared across the faults of a shard; see
     {!Dfm_atpg.Atpg.sat_mode}).
     [certify] makes the classification (and any escalation) verify every

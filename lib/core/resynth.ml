@@ -80,7 +80,6 @@ type state = {
   cache : Dfm_incr.Cache.t option;
   max_conflicts : int option;
   escalation : Atpg.escalation_policy option;
-  sat_mode : Atpg.sat_mode;
   certify : bool;
   ckpt : Checkpoint.t option;
   floorplan : Dfm_layout.Floorplan.t;
@@ -191,14 +190,14 @@ let internal_u_of_netlist st nl =
   let faults = Dfm_guidelines.Translate.internal_only nl in
   let cls =
     Atpg.classify ~seed:st.seed ?max_conflicts:st.max_conflicts ?cache:st.cache
-      ~sat_mode:st.sat_mode ~certify:st.certify nl faults
+      ~certify:st.certify nl faults
   in
   st.sat_queries <- st.sat_queries + cls.Atpg.counts.Atpg.sat_queries;
   let cls =
     match (st.max_conflicts, st.escalation) with
     | Some mc, Some policy when cls.Atpg.counts.Atpg.aborted > 0 ->
         let cls', es =
-          Atpg.escalate ~policy ?cache:st.cache ~sat_mode:st.sat_mode ~certify:st.certify
+          Atpg.escalate ~policy ?cache:st.cache ~certify:st.certify
             ~max_conflicts:mc nl faults cls
         in
         note_escalation st es;
@@ -213,7 +212,7 @@ let implement_opt st nl =
     let d =
       Design.implement ~seed:st.seed ~floorplan:st.floorplan ~previous:st.current
         ?cache:st.cache ?max_conflicts:st.max_conflicts ?escalation:st.escalation
-        ~sat_mode:st.sat_mode ~certify:st.certify nl
+        ~certify:st.certify nl
     in
     st.sat_queries <- st.sat_queries + d.Design.classification.Atpg.counts.Atpg.sat_queries;
     Option.iter
@@ -578,9 +577,8 @@ let checkpoint_header ~p1_percent ~q_max ~seed ~sweep ~context_levels ~max_confl
     (match max_conflicts with None -> "-" | Some c -> string_of_int c)
 
 let run ?(p1_percent = 1.0) ?(q_max = 5) ?(seed = 3) ?(sweep = true) ?(context_levels = 2)
-    ?cache ?max_conflicts ?escalation ?sat_mode ?(certify = false) ?checkpoint ?log
+    ?cache ?max_conflicts ?escalation ?(certify = false) ?checkpoint ?log
     ?interrupt initial =
-  let sat_mode = match sat_mode with Some m -> m | None -> Atpg.default_sat_mode () in
   (* [?log] is the deprecated pre-logger callback: when given it still
      receives every campaign message verbatim; otherwise messages become
      [Dfm_obs.Log.info] records (dropped until a sink is installed). *)
@@ -612,11 +610,11 @@ let run ?(p1_percent = 1.0) ?(q_max = 5) ?(seed = 3) ?(sweep = true) ?(context_l
      iteration is compared against. *)
   let tb0 = Unix.gettimeofday () in
   let bdesign =
-    Design.implement ~seed ~floorplan:initial.Design.floorplan ~sat_mode ~certify
+    Design.implement ~seed ~floorplan:initial.Design.floorplan ~certify
       initial.Design.netlist
   in
   ignore
-    (Atpg.generate ~seed ~sat_mode ~certify bdesign.Design.netlist
+    (Atpg.generate ~seed ~certify bdesign.Design.netlist
        bdesign.Design.fault_list.Dfm_guidelines.Translate.faults);
   let baseline_s = Unix.gettimeofday () -. tb0 in
   let st =
@@ -642,7 +640,6 @@ let run ?(p1_percent = 1.0) ?(q_max = 5) ?(seed = 3) ?(sweep = true) ?(context_l
       cache;
       max_conflicts;
       escalation;
-      sat_mode;
       certify;
       ckpt;
       floorplan = initial.Design.floorplan;
@@ -674,7 +671,7 @@ let run ?(p1_percent = 1.0) ?(q_max = 5) ?(seed = 3) ?(sweep = true) ?(context_l
           in
           let d =
             Design.implement ~seed ~floorplan:st.floorplan ~previous:st.current ?cache
-              ?max_conflicts ?escalation ~sat_mode ~certify nl
+              ?max_conflicts ?escalation ~certify nl
           in
           (* Resumed accepts are re-certified like fresh ones: the journal
              records a claim, not a proof. *)

@@ -102,7 +102,6 @@ val run :
   ?cache:Dfm_incr.Cache.t ->
   ?max_conflicts:int ->
   ?escalation:Dfm_atpg.Atpg.escalation_policy ->
-  ?sat_mode:Dfm_atpg.Atpg.sat_mode ->
   ?certify:bool ->
   ?checkpoint:checkpoint_spec ->
   ?log:(string -> unit) ->
@@ -135,9 +134,8 @@ val run :
     budget ladder of {!Dfm_atpg.Atpg.escalate} and any residue is reported
     in [aborted_residual].
 
-    [sat_mode] (default {!Dfm_atpg.Atpg.default_sat_mode}, i.e.
-    incremental) selects the SAT engine for every classification the
-    campaign performs — see {!Dfm_atpg.Atpg.sat_mode}.
+    Every classification the campaign performs runs on the incremental
+    SAT engine — see {!Dfm_atpg.Atpg.sat_mode}.
 
     [certify] (default false) verifies every verdict the campaign relies on
     against an independent certificate: each classification runs certified

@@ -14,6 +14,10 @@ exception Cancelled_job
 
 exception Timed_out_job
 
+(* A job whose submit the daemon cannot serve: raised by [execute] for a
+   ledger-recovered submit that [handle_submit] would now reject. *)
+exception Rejected_job of string
+
 (* Daemon-level metrics: served live to any client via the [metrics]
    request, alongside everything the engines record. *)
 let m_jobs =
@@ -247,11 +251,12 @@ let complete_job d (j : job) (p : P.result_payload) ~service =
 
 (* ---- the executor thread ----------------------------------------------- *)
 
-let sat_mode_of_string = function
-  | Some "incremental" -> Ok (Some Dfm_atpg.Atpg.Incremental)
-  | Some "oneshot" -> Ok (Some Dfm_atpg.Atpg.Oneshot)
-  | Some other -> Error (Printf.sprintf "unknown sat mode %S" other)
-  | None -> Ok None
+(* The wire keeps the [sat_mode] field, but the daemon runs only the
+   incremental engine: any other value is refused by name. *)
+let check_sat_mode = function
+  | None | Some "incremental" -> Ok ()
+  | Some other ->
+      Error (Printf.sprintf "unsupported sat mode %S (only \"incremental\" is served)" other)
 
 (* Runs without [mu]: everything here is engine work on state only this
    thread touches.  The verdict-cache stats deltas around the run are the
@@ -272,12 +277,7 @@ let execute d (j : job) =
     if j.cancel then raise Cancelled_job;
     match deadline with Some t when now () > t -> raise Timed_out_job | _ -> ()
   in
-  let sat_mode =
-    match sat_mode_of_string sub.P.sat_mode with
-    | Ok (Some m) -> m
-    | Ok None -> Dfm_atpg.Atpg.default_sat_mode ()
-    | Error e -> failwith e
-  in
+  Result.iter_error (fun e -> raise (Rejected_job e)) (check_sat_mode sub.P.sat_mode);
   let nl =
     Dfm_netlist.Netlist_io.read ~library:Dfm_cellmodel.Osu018.library sub.P.netlist
   in
@@ -287,7 +287,7 @@ let execute d (j : job) =
       let static_filter = sub.P.static_filter in
       let dsg =
         Design.implement ~cache ~jobs:cap ?max_conflicts ?escalation ~static_filter
-          ~sat_mode ~certify:d.cfg.certify nl
+          ~certify:d.cfg.certify nl
       in
       {
         P.r_job = j.id;
@@ -318,12 +318,11 @@ let execute d (j : job) =
       let q_max = match sub.P.q_max with Some q -> q | None -> 5 in
       let p1_percent = match sub.P.p1 with Some p -> p | None -> 1.0 in
       let d0 =
-        Design.implement ~cache ?max_conflicts ?escalation ~sat_mode
-          ~certify:d.cfg.certify nl
+        Design.implement ~cache ?max_conflicts ?escalation ~certify:d.cfg.certify nl
       in
       interrupt ();
       let r =
-        Resynth.run ~p1_percent ~q_max ~cache ?max_conflicts ?escalation ~sat_mode
+        Resynth.run ~p1_percent ~q_max ~cache ?max_conflicts ?escalation
           ~certify:d.cfg.certify ~checkpoint ~interrupt d0
       in
       {
@@ -362,6 +361,7 @@ let exec_one d (j : job) =
         failed_payload j "timeout" "wall-clock limit reached (journal kept; resubmit resumes)"
     | exception Dfm_sat.Cert.Check_failed msg ->
         failed_payload j "failed" ("certification failed: " ^ msg)
+    | exception Rejected_job msg -> failed_payload j "failed" msg
     | exception e -> failed_payload j "failed" (Printexc.to_string e)
   in
   Metrics.set_attribution [];
@@ -448,7 +448,7 @@ let fresh_id d =
 let handle_submit d conn (sub : P.submit) =
   if d.draining then post d conn (P.Error_msg "daemon is draining; not accepting jobs")
   else
-    match sat_mode_of_string sub.P.sat_mode with
+    match check_sat_mode sub.P.sat_mode with
     | Error e -> post d conn (P.Error_msg e)
     | Ok _ when (match sub.P.limits.P.jobs with Some n -> n < 1 | None -> false) ->
         post d conn (P.Error_msg "jobs limit must be at least 1")

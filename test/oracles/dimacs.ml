@@ -1,3 +1,5 @@
+module Solver = Dfm_sat.Solver
+
 exception Parse_error of int * string
 
 let parse text =
@@ -50,13 +52,6 @@ let load solver text =
   let nvars, clauses = parse text in
   Solver.ensure_vars solver nvars;
   List.iter (Solver.add_clause solver) clauses
-
-let read_file solver path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  load solver text
 
 let to_string ~nvars clauses =
   let buf = Buffer.create 4096 in

@@ -1,8 +1,7 @@
 (** DIMACS CNF interchange for the SAT solver.
 
-    Makes [dfm_sat] usable as a standalone solver on standard benchmark
-    files and lets miters built here be exported for cross-checking with
-    external solvers. *)
+    Lets the tests drive {!Dfm_sat.Solver} with standard CNF text and
+    render its answers in the standard result format. *)
 
 exception Parse_error of int * string
 
@@ -11,13 +10,11 @@ val parse : string -> int * int list list
     (variable count, clauses).  Comments ([c] lines) and [%]/[0] trailers
     are tolerated.  @raise Parse_error with a line number on bad syntax. *)
 
-val load : Solver.t -> string -> unit
+val load : Dfm_sat.Solver.t -> string -> unit
 (** Parse and add every clause to a solver. *)
-
-val read_file : Solver.t -> string -> unit
 
 val to_string : nvars:int -> int list list -> string
 (** Render clauses in DIMACS format. *)
 
-val solution_to_string : Solver.t -> Solver.result -> string
+val solution_to_string : Dfm_sat.Solver.t -> Dfm_sat.Solver.result -> string
 (** A standard ["s SATISFIABLE"/"v ..."] result block. *)

@@ -1,5 +1,6 @@
 module Tt = Dfm_logic.Truthtable
-module Bdd = Dfm_logic.Bdd
+module Netlist = Dfm_netlist.Netlist
+module Cell = Dfm_netlist.Cell
 
 type verdict =
   | Equivalent

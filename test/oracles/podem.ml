@@ -264,23 +264,3 @@ let check ?(max_backtracks = 10_000) ls (fault : F.t) =
        path free of atomic traffic. *)
     Dfm_obs.Metrics.incr ~by:!backtracks m_backtracks;
     v
-
-let m_sat_fallbacks =
-  Dfm_obs.Metrics.counter ~help:"PODEM aborts escalated to a SAT query"
-    "dfm_podem_sat_fallbacks_total"
-
-let check_with_sat ?max_backtracks ?max_conflicts ?session ls (fault : F.t) =
-  match check ?max_backtracks ls fault with
-  | (Test _ | Redundant) as v -> v
-  | Aborted -> (
-      Dfm_obs.Metrics.incr m_sat_fallbacks;
-      let verdict =
-        match session with
-        | Some sess -> Encode.check_incr ?max_conflicts sess fault
-        | None -> Encode.check ?max_conflicts ls fault
-      in
-      match verdict with
-      | Encode.Tests (t :: _) -> Test t.Encode.values
-      | Encode.Tests [] -> Aborted
-      | Encode.Undetectable -> Redundant
-      | Encode.Unknown -> Aborted)

@@ -22,6 +22,10 @@
       job ids are never handed out twice; a ledger in a foreign format
       makes the daemon refuse to start (exit 2, one line) instead of
       discarding job history.
+   7. One SAT engine: a submit whose sat_mode is anything but
+      "incremental" is refused with one line naming the value, the next
+      valid submit still completes, and a ledger-recovered job carrying
+      "oneshot" ends failed with the same message instead of crashing.
 
    Usage: serve_smoke CLI_EXE NETLIST_FILE *)
 
@@ -473,6 +477,75 @@ let () =
       fail "foreign ledger refusal printed %d lines, want 1" (List.length lines)
   | Some n, _ -> fail "daemon on a foreign ledger exited %d, want 2" n
   | None, _ -> fail "daemon started on a foreign-format ledger");
+
+  (* ---- 7. one SAT engine -------------------------------------------- *)
+  let sock7 = sock_path "satmode" and state7 = "smoke_state7" in
+  let sub_with sat_mode =
+    Protocol.
+      {
+        client = "golf";
+        kind = Analyze;
+        name = netlist_file;
+        netlist = netlist_text;
+        limits = Protocol.no_limits;
+        static_filter = false;
+        sat_mode;
+        q_max = None;
+        p1 = None;
+      }
+  in
+  (* the ledger of a daemon that took a oneshot job J1 and died before
+     running it *)
+  if not (Sys.file_exists state7) then Sys.mkdir state7 0o755;
+  Dfm_util.Journal.replace ~magic:"DFMLG01\n" (state7 ^ "/ledger.bin")
+    [
+      Dfm_serve.Wire.(
+        to_string
+          (Obj
+             [
+               ("rec", String "submit");
+               ("job", String "J1");
+               ( "sub",
+                 String (Protocol.request_to_json (Protocol.Submit (sub_with (Some "oneshot"))))
+               );
+             ]));
+    ];
+  let pid7 = start_daemon exe ~sock:sock7 ~state:state7 ~log:"smoke_daemon7.log" in
+  (match Client.connect sock7 with
+  | Error e -> fail "sat-mode connect: %s" e
+  | Ok c ->
+      let rejection mode =
+        match Client.request c (Protocol.Submit (sub_with (Some mode))) with
+        | Ok (Protocol.Error_msg m)
+          when contains m (Printf.sprintf "%S" mode) && not (String.contains m '\n') ->
+            pass "sat_mode %S refused with one line naming it" mode;
+            Some m
+        | Ok (Protocol.Error_msg m) ->
+            fail "sat_mode %S refusal does not name the value in one line: %s" mode m;
+            None
+        | Ok _ ->
+            fail "sat_mode %S was accepted" mode;
+            None
+        | Error e ->
+            fail "sat_mode %S submit: %s" mode e;
+            None
+      in
+      let oneshot_msg = rejection "oneshot" in
+      ignore (rejection "bogus" : string option);
+      (match Client.await c "J1" with
+      | Ok r when r.Protocol.r_outcome = "failed" && Some r.Protocol.r_report = oneshot_msg ->
+          pass "ledger-recovered oneshot job failed with the submit refusal message"
+      | Ok r ->
+          fail "ledger-recovered oneshot job: outcome %s, detail %S" r.Protocol.r_outcome
+            r.Protocol.r_report
+      | Error e -> fail "await ledger-recovered job: %s" e);
+      (match Client.submit_and_wait c (sub_with None) with
+      | Ok r when r.Protocol.r_outcome = "done" ->
+          pass "valid submit after the refusals completes done"
+      | Ok r -> fail "valid submit after the refusals: outcome %s" r.Protocol.r_outcome
+      | Error e -> fail "valid submit after the refusals: %s" e);
+      Client.close c);
+  stop_daemon ~sock:sock7 ~pid:pid7;
 
   if !failures > 0 then begin
     Printf.printf "serve_smoke: %d failure(s)\n%!" !failures;

@@ -189,15 +189,17 @@ let () =
                 with
                 | Error e -> fail "metrics subscribe: %s" e
                 | Ok () ->
-                    (* collect frames until one shows tenant attribution or
-                       we have seen plenty *)
+                    (* collect frames until one shows alpha's attribution
+                       (the check below) or we have seen plenty; frames are
+                       full snapshots, so once alpha has worked every later
+                       frame carries it, whichever tenant shows up first *)
                     let rec go n =
                       if n > 0 then
                         match Client.next_telemetry c with
                         | Error e -> fail "metrics stream: %s" e
                         | Ok ("metrics", data) ->
                             metrics_frames := data :: !metrics_frames;
-                            if not (contains data "tenant=\"") then go (n - 1)
+                            if not (contains data "tenant=\"alpha\"") then go (n - 1)
                         | Ok _ -> go n
                     in
                     go 100))
@@ -234,7 +236,7 @@ let () =
   if List.exists (fun f -> contains f "tenant=\"alpha\"") !metrics_frames then
     pass "streamed metrics frames carry tenant attribution (%d frames)"
       (List.length !metrics_frames)
-  else fail "no streamed metrics frame carried a tenant label";
+  else fail "no streamed metrics frame carried a tenant=\"alpha\" label";
   (* small campaigns can finish inside one 0.25s pump window, giving the
      follower a single batch; feed it more work until it has both *)
   let tracer_status = ref None in

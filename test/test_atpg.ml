@@ -270,13 +270,13 @@ let prop_podem_agrees_with_sat =
                 | Encode.Undetectable -> false
                 | Encode.Unknown -> not !ok (* force failure *)
               in
-              match Dfm_atpg.Podem.check ls f with
-              | Dfm_atpg.Podem.Test pattern ->
+              match Dfm_oracles.Podem.check ls f with
+              | Dfm_oracles.Podem.Test pattern ->
                   if not sat_detectable then ok := false;
                   let good = Ls.run ls (Ls.words_of_pattern pattern) in
                   if Fs.detect_word fs ~good f = 0L then ok := false
-              | Dfm_atpg.Podem.Redundant -> if sat_detectable then ok := false
-              | Dfm_atpg.Podem.Aborted -> ())
+              | Dfm_oracles.Podem.Redundant -> if sat_detectable then ok := false
+              | Dfm_oracles.Podem.Aborted -> ())
             [ F.Sa0; F.Sa1 ])
         nl.N.nets;
       !ok)
@@ -286,7 +286,7 @@ let test_podem_rejects_other_kinds () =
   let ls = Ls.prepare nl in
   let f = { F.fault_id = 0; kind = F.Bridge (0, 1, F.Wired_and); origin } in
   try
-    ignore (Dfm_atpg.Podem.check ls f);
+    ignore (Dfm_oracles.Podem.check ls f);
     Alcotest.fail "expected Invalid_argument"
   with Invalid_argument _ -> ()
 

@@ -1,7 +1,7 @@
 (* Tests for dfm_logic: truth tables and BDDs. *)
 
 module Tt = Dfm_logic.Truthtable
-module Bdd = Dfm_logic.Bdd
+module Bdd = Dfm_oracles.Bdd
 
 let arb_tt =
   QCheck.make

@@ -6,7 +6,7 @@ module B = N.Builder
 module Cell = Dfm_netlist.Cell
 module Library = Dfm_netlist.Library
 module Io = Dfm_netlist.Netlist_io
-module Equiv = Dfm_netlist.Equiv
+module Equiv = Dfm_oracles.Equiv
 
 let lib = Dfm_cellmodel.Osu018.library
 

@@ -215,23 +215,23 @@ let test_accessors () =
 
 let test_dimacs_roundtrip () =
   let clauses = [ [ 1; -2 ]; [ 2; 3 ]; [ -1; -3 ] ] in
-  let text = Dfm_sat.Dimacs.to_string ~nvars:3 clauses in
-  let nvars, parsed = Dfm_sat.Dimacs.parse text in
+  let text = Dfm_oracles.Dimacs.to_string ~nvars:3 clauses in
+  let nvars, parsed = Dfm_oracles.Dimacs.parse text in
   Alcotest.(check int) "vars" 3 nvars;
   Alcotest.(check (list (list int))) "clauses" clauses parsed;
   let s = Solver.create () in
-  Dfm_sat.Dimacs.load s text;
+  Dfm_oracles.Dimacs.load s text;
   Alcotest.(check bool) "solvable" true (Solver.solve s = Solver.Sat);
-  let sol = Dfm_sat.Dimacs.solution_to_string s Solver.Sat in
+  let sol = Dfm_oracles.Dimacs.solution_to_string s Solver.Sat in
   Alcotest.(check bool) "solution block" true
     (String.length sol > 2 && String.sub sol 0 2 = "s ")
 
 let test_dimacs_errors () =
   let check_fails text =
     try
-      ignore (Dfm_sat.Dimacs.parse text);
+      ignore (Dfm_oracles.Dimacs.parse text);
       Alcotest.fail "expected Parse_error"
-    with Dfm_sat.Dimacs.Parse_error _ -> ()
+    with Dfm_oracles.Dimacs.Parse_error _ -> ()
   in
   check_fails "1 2 0\n";                 (* clause before header *)
   check_fails "p cnf 2 1\n5 0\n";       (* literal out of range *)

@@ -11,8 +11,9 @@
 
    - ATPG level: [Atpg.classify] / [generate] / [escalate] in Incremental
      mode must produce the same verdicts as Oneshot mode, at jobs 1 and 4,
-     including after a region rewrite — and every incremental test pattern
-     must be confirmed by the independent fault simulator.
+     including after a region rewrite and on the committed example blocks
+     — and every incremental test pattern must be confirmed by the
+     independent fault simulator.
 
    - Campaign level: the [sat.solve] failpoint kills a checkpointed
      campaign mid-incremental-session; the resume must be bit-identical to
@@ -394,6 +395,29 @@ let prop_modes_agree_after_replace =
       && inc1.Atpg.status = inc4.Atpg.status
       && inc1.Atpg.counts = inc4.Atpg.counts)
 
+(* Production always runs the Incremental engine.  On every committed
+   example block, the Oneshot reference must classify the fault list that
+   [Design.implement] builds exactly as the implement did (same seed).  The
+   analyze report depends on SAT only through these statuses and counts,
+   so this pins the two engines' reports to each other. *)
+let example_netlist file =
+  let candidates =
+    List.map (fun dir -> Filename.concat dir file) [ "../examples/netlists"; "examples/netlists" ]
+  in
+  match List.find_opt Sys.file_exists candidates with
+  | Some path -> Netlist_io.read_file ~library:lib path
+  | None -> Alcotest.failf "example netlist %s not found" file
+
+let test_example_blocks_modes_agree () =
+  List.iter
+    (fun file ->
+      let nl = example_netlist file in
+      let d = Design.implement ~seed:3 nl in
+      let faults = d.Design.fault_list.Dfm_guidelines.Translate.faults in
+      let one = Atpg.classify ~seed:3 ~sat_mode:Atpg.Oneshot nl faults in
+      same_classification file one d.Design.classification)
+    [ "sparc_ffu_s025.nl"; "sparc_spu_s025.nl" ]
+
 (* [generate] in both modes: same verdicts, zero simulator disagreements,
    and the incremental test set replayed through the independent fault
    simulator must cover every fault classified Detected.  (The patterns
@@ -714,6 +738,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_modes_agree;
     QCheck_alcotest.to_alcotest prop_modes_agree_after_replace;
     Alcotest.test_case "generate in both modes" `Quick test_generate_modes;
+    Alcotest.test_case "example blocks: oneshot = incremental" `Slow
+      test_example_blocks_modes_agree;
     QCheck_alcotest.to_alcotest prop_escalate_modes_agree;
     Alcotest.test_case "encode session invariants" `Quick test_encode_session_invariants;
     Alcotest.test_case "budget re-solve in one session" `Quick test_encode_budget_re_solve;

@@ -8,7 +8,7 @@ module N = Dfm_netlist.Netlist
 module B = N.Builder
 module Cell = Dfm_netlist.Cell
 module Library = Dfm_netlist.Library
-module Equiv = Dfm_netlist.Equiv
+module Equiv = Dfm_oracles.Equiv
 module Rng = Dfm_util.Rng
 
 let lib = Dfm_cellmodel.Osu018.library
